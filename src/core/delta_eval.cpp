@@ -133,6 +133,7 @@ DeltaEval::DeltaEval(const EvalEngine& engine, std::span<const NodeId> host_of,
       version_(resolve_delta_version(delta_options.version)),
       np_(idx(engine.instance().num_tasks())),
       ns_(idx(engine.instance().num_processors())) {
+  engine_->ensure_delta_tables();
   if (host_of.size() != ns_) {
     throw std::invalid_argument("begin_delta: host map has the wrong size");
   }

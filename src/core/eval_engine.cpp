@@ -8,19 +8,16 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "graph/topological.hpp"
 #include "obs/trace.hpp"
 
 namespace mimdmap {
 
 EvalEngine::EvalEngine(const MappingInstance& instance, std::shared_ptr<ThreadPool> pool)
-    : instance_(instance), pool_(pool ? std::move(pool) : ThreadPool::shared()) {
+    : instance_(instance),
+      topo_order_(instance.topo_order()),
+      pool_(pool ? std::move(pool) : ThreadPool::shared()) {
   if (instance.shared_tables()) adopt_topology(instance.shared_tables());
   const TaskGraph& problem = instance.problem();
-  const auto order = topological_order(problem);
-  if (!order) throw std::invalid_argument("evaluate: problem graph has a cycle");
-  topo_order_ = *order;
-
   cluster_of_ = instance.clustering().cluster_map();
   node_weight_ = problem.node_weights();
 
@@ -41,112 +38,118 @@ EvalEngine::EvalEngine(const MappingInstance& instance, std::shared_ptr<ThreadPo
     }
   }
   pred_offset_[idx(np)] = static_cast<std::uint32_t>(pred_arcs_.size());
+}
 
-  topo_pos_.assign(idx(np), 0);
-  for (std::size_t pos = 0; pos < topo_order_.size(); ++pos) {
-    topo_pos_[idx(topo_order_[pos])] = static_cast<std::uint32_t>(pos);
-  }
-
-  // Successor CSR mirroring the predecessor CSR — the delta evaluator's
-  // dirty-set propagation walks it forward, and seeds per arc off the
-  // pre-resolved successor cluster.
-  succ_arcs_.reserve(total_arcs);
-  succ_offset_.assign(idx(np) + 1, 0);
-  for (NodeId v = 0; v < np; ++v) {
-    succ_offset_[idx(v)] = static_cast<std::uint32_t>(succ_arcs_.size());
-    for (const auto& [succ, edge_w] : problem.successors(v)) {
-      const NodeId sc = cluster_of_[idx(succ)];
-      succ_arcs_.push_back({succ, sc, sc == cluster_of_[idx(v)] ? 0 : edge_w});
+void EvalEngine::ensure_delta_tables() const {
+  std::call_once(delta_once_, [&] {
+    const TaskGraph& problem = instance_.problem();
+    const NodeId np = problem.node_count();
+    topo_pos_.assign(idx(np), 0);
+    for (std::size_t pos = 0; pos < topo_order_.size(); ++pos) {
+      topo_pos_[idx(topo_order_[pos])] = static_cast<std::uint32_t>(pos);
     }
-  }
-  succ_offset_[idx(np)] = static_cast<std::uint32_t>(succ_arcs_.size());
 
-  // Ancestor-cluster bitmasks (one forward pass over the predecessor CSR).
-  // With more than 64 clusters the masks degrade to all-ones, which only
-  // disables the certificate that reads them, never falsifies it.
-  reach_clusters_.assign(idx(np), ~std::uint64_t{0});
-  if (idx(instance.num_processors()) <= 64) {
-    for (const NodeId v : topo_order_) {
-      std::uint64_t mask = std::uint64_t{1} << idx(cluster_of_[idx(v)]);
-      for (std::uint32_t a = pred_offset_[idx(v)]; a < pred_offset_[idx(v) + 1]; ++a) {
-        mask |= reach_clusters_[idx(pred_arcs_[a].pred)];
-      }
-      reach_clusters_[idx(v)] = mask;
-    }
-  }
-
-  // Downstream node-weight potential (one reverse pass over the successor
-  // CSR): tail0_[v] = max over successors of (weight(succ) + tail0_[succ]).
-  tail0_.assign(idx(np), 0);
-  for (std::size_t i = topo_order_.size(); i-- > 0;) {
-    const NodeId v = topo_order_[i];
-    Weight t = 0;
-    for (std::uint32_t s = succ_offset_[idx(v)]; s < succ_offset_[idx(v) + 1]; ++s) {
-      const NodeId succ = succ_arcs_[s].succ;
-      t = std::max(t, node_weight_[idx(succ)] + tail0_[idx(succ)]);
-    }
-    tail0_[idx(v)] = t;
-  }
-
-  // Per-cluster inter-cluster arc lists plus earliest member position —
-  // the delta evaluator's seed scan touches exactly these arcs instead of
-  // walking every member's adjacency.
-  const NodeId nc = instance.num_processors();
-  cluster_min_pos_.assign(idx(nc), static_cast<std::uint32_t>(idx(np)));
-  for (NodeId v = 0; v < np; ++v) {
-    std::uint32_t& mp = cluster_min_pos_[idx(cluster_of_[idx(v)])];
-    mp = std::min(mp, topo_pos_[idx(v)]);
-  }
-  std::vector<std::vector<ClusterArc>> by_cluster(idx(nc));
-  for (const TaskEdge& e : problem.edges()) {
-    const NodeId cu = cluster_of_[idx(e.from)];
-    const NodeId cv = cluster_of_[idx(e.to)];
-    if (cu == cv) continue;
-    const Weight cw = e.weight;  // inter-cluster: clustered weight == edge weight
-    by_cluster[idx(cv)].push_back({e.to, topo_pos_[idx(e.to)], cu, true, e.from, cw});
-    by_cluster[idx(cu)].push_back({e.to, topo_pos_[idx(e.to)], cv, false, e.from, cw});
-  }
-  // Within each cluster, group the arcs by (other_cluster, incoming) so
-  // the delta engines can select whole groups off their per-cluster-pair
-  // distance-change masks (one branch per pair instead of per arc).
-  const std::size_t groups_per_cluster = 2 * idx(nc);
-  cluster_pair_offset_.assign(idx(nc) * groups_per_cluster + 1, 0);
-  cluster_pair_min_pos_.assign(idx(nc) * groups_per_cluster,
-                               static_cast<std::uint32_t>(idx(np)));
-  cluster_arc_offset_.assign(idx(nc) + 1, 0);
-  for (NodeId c = 0; c < nc; ++c) {
-    cluster_arc_offset_[idx(c)] = static_cast<std::uint32_t>(cluster_arcs_.size());
-    std::vector<ClusterArc>& list = by_cluster[idx(c)];
-    std::stable_sort(list.begin(), list.end(),
-                     [](const ClusterArc& a, const ClusterArc& b) {
-                       if (a.other_cluster != b.other_cluster) {
-                         return a.other_cluster < b.other_cluster;
-                       }
-                       return a.incoming < b.incoming;
-                     });
-    for (const ClusterArc& arc : list) {
-      const std::size_t g = idx(c) * groups_per_cluster + idx(arc.other_cluster) * 2 +
-                            (arc.incoming ? 1 : 0);
-      cluster_pair_min_pos_[g] = std::min(cluster_pair_min_pos_[g], arc.head_pos);
-    }
-    // Group offsets: count per group, then prefix-sum over this cluster's
-    // contiguous span (arcs are appended in sorted order right after).
-    const std::uint32_t base = static_cast<std::uint32_t>(cluster_arcs_.size());
-    std::size_t cursor = 0;
-    for (std::size_t g = 0; g < groups_per_cluster; ++g) {
-      cluster_pair_offset_[idx(c) * groups_per_cluster + g] =
-          base + static_cast<std::uint32_t>(cursor);
-      while (cursor < list.size()) {
-        const ClusterArc& arc = list[cursor];
-        const std::size_t ag = idx(arc.other_cluster) * 2 + (arc.incoming ? 1 : 0);
-        if (ag != g) break;
-        ++cursor;
+    // Successor CSR mirroring the predecessor CSR — the delta evaluator's
+    // dirty-set propagation walks it forward, and seeds per arc off the
+    // pre-resolved successor cluster.
+    succ_arcs_.reserve(pred_arcs_.size());
+    succ_offset_.assign(idx(np) + 1, 0);
+    for (NodeId v = 0; v < np; ++v) {
+      succ_offset_[idx(v)] = static_cast<std::uint32_t>(succ_arcs_.size());
+      for (const auto& [succ, edge_w] : problem.successors(v)) {
+        const NodeId sc = cluster_of_[idx(succ)];
+        succ_arcs_.push_back({succ, sc, sc == cluster_of_[idx(v)] ? 0 : edge_w});
       }
     }
-    cluster_arcs_.insert(cluster_arcs_.end(), list.begin(), list.end());
-  }
-  cluster_arc_offset_[idx(nc)] = static_cast<std::uint32_t>(cluster_arcs_.size());
-  cluster_pair_offset_.back() = static_cast<std::uint32_t>(cluster_arcs_.size());
+    succ_offset_[idx(np)] = static_cast<std::uint32_t>(succ_arcs_.size());
+
+    // Ancestor-cluster bitmasks (one forward pass over the predecessor CSR).
+    // With more than 64 clusters the masks degrade to all-ones, which only
+    // disables the certificate that reads them, never falsifies it.
+    reach_clusters_.assign(idx(np), ~std::uint64_t{0});
+    const NodeId nc = instance_.num_processors();
+    if (idx(nc) <= 64) {
+      for (const NodeId v : topo_order_) {
+        std::uint64_t mask = std::uint64_t{1} << idx(cluster_of_[idx(v)]);
+        for (std::uint32_t a = pred_offset_[idx(v)]; a < pred_offset_[idx(v) + 1]; ++a) {
+          mask |= reach_clusters_[idx(pred_arcs_[a].pred)];
+        }
+        reach_clusters_[idx(v)] = mask;
+      }
+    }
+
+    // Downstream node-weight potential (one reverse pass over the successor
+    // CSR): tail0_[v] = max over successors of (weight(succ) + tail0_[succ]).
+    tail0_.assign(idx(np), 0);
+    for (std::size_t i = topo_order_.size(); i-- > 0;) {
+      const NodeId v = topo_order_[i];
+      Weight t = 0;
+      for (std::uint32_t s = succ_offset_[idx(v)]; s < succ_offset_[idx(v) + 1]; ++s) {
+        const NodeId succ = succ_arcs_[s].succ;
+        t = std::max(t, node_weight_[idx(succ)] + tail0_[idx(succ)]);
+      }
+      tail0_[idx(v)] = t;
+    }
+
+    // Per-cluster inter-cluster arc lists plus earliest member position —
+    // the delta evaluator's seed scan touches exactly these arcs instead of
+    // walking every member's adjacency.
+    cluster_min_pos_.assign(idx(nc), static_cast<std::uint32_t>(idx(np)));
+    for (NodeId v = 0; v < np; ++v) {
+      std::uint32_t& mp = cluster_min_pos_[idx(cluster_of_[idx(v)])];
+      mp = std::min(mp, topo_pos_[idx(v)]);
+    }
+    std::vector<std::vector<ClusterArc>> by_cluster(idx(nc));
+    for (const TaskEdge& e : problem.edges()) {
+      const NodeId cu = cluster_of_[idx(e.from)];
+      const NodeId cv = cluster_of_[idx(e.to)];
+      if (cu == cv) continue;
+      const Weight cw = e.weight;  // inter-cluster: clustered weight == edge weight
+      by_cluster[idx(cv)].push_back({e.to, topo_pos_[idx(e.to)], cu, true, e.from, cw});
+      by_cluster[idx(cu)].push_back({e.to, topo_pos_[idx(e.to)], cv, false, e.from, cw});
+    }
+    // Within each cluster, group the arcs by (other_cluster, incoming) so
+    // the delta engines can select whole groups off their per-cluster-pair
+    // distance-change masks (one branch per pair instead of per arc).
+    const std::size_t groups_per_cluster = 2 * idx(nc);
+    cluster_pair_offset_.assign(idx(nc) * groups_per_cluster + 1, 0);
+    cluster_pair_min_pos_.assign(idx(nc) * groups_per_cluster,
+                                 static_cast<std::uint32_t>(idx(np)));
+    cluster_arc_offset_.assign(idx(nc) + 1, 0);
+    for (NodeId c = 0; c < nc; ++c) {
+      cluster_arc_offset_[idx(c)] = static_cast<std::uint32_t>(cluster_arcs_.size());
+      std::vector<ClusterArc>& list = by_cluster[idx(c)];
+      std::stable_sort(list.begin(), list.end(),
+                       [](const ClusterArc& a, const ClusterArc& b) {
+                         if (a.other_cluster != b.other_cluster) {
+                           return a.other_cluster < b.other_cluster;
+                         }
+                         return a.incoming < b.incoming;
+                       });
+      for (const ClusterArc& arc : list) {
+        const std::size_t g = idx(c) * groups_per_cluster + idx(arc.other_cluster) * 2 +
+                              (arc.incoming ? 1 : 0);
+        cluster_pair_min_pos_[g] = std::min(cluster_pair_min_pos_[g], arc.head_pos);
+      }
+      // Group offsets: count per group, then prefix-sum over this cluster's
+      // contiguous span (arcs are appended in sorted order right after).
+      const std::uint32_t base = static_cast<std::uint32_t>(cluster_arcs_.size());
+      std::size_t cursor = 0;
+      for (std::size_t g = 0; g < groups_per_cluster; ++g) {
+        cluster_pair_offset_[idx(c) * groups_per_cluster + g] =
+            base + static_cast<std::uint32_t>(cursor);
+        while (cursor < list.size()) {
+          const ClusterArc& arc = list[cursor];
+          const std::size_t ag = idx(arc.other_cluster) * 2 + (arc.incoming ? 1 : 0);
+          if (ag != g) break;
+          ++cursor;
+        }
+      }
+      cluster_arcs_.insert(cluster_arcs_.end(), list.begin(), list.end());
+    }
+    cluster_arc_offset_[idx(nc)] = static_cast<std::uint32_t>(cluster_arcs_.size());
+    cluster_pair_offset_.back() = static_cast<std::uint32_t>(cluster_arcs_.size());
+  });
 }
 
 EvalEngine::~EvalEngine() = default;

@@ -8,7 +8,8 @@
 // link_contention) rebuilds a RoutingTable on every call. EvalEngine hoists
 // all of that per-*instance* work out of the per-*trial* loop:
 //
-//  * the topological order of the problem graph (fixed per instance),
+//  * the topological order of the problem graph (the instance's own, sorted
+//    once when the instance validated acyclicity),
 //  * a flat CSR predecessor array whose arcs carry pre-resolved
 //    (pred, cluster_of(pred), clus_edge(pred, v)) triples — one contiguous
 //    scan per trial instead of nested vector-of-pair walks plus two matrix
@@ -22,6 +23,13 @@
 //    oversubscribing the machine,
 //  * per-lane EvalWorkspace scratch buffers, so steady-state trial
 //    evaluation performs ZERO heap allocations.
+//
+// Only the tables the full kernels read (order, predecessor CSR,
+// cluster_of, node weights) are built at construction. The DeltaEval-only
+// tables (successor CSR, topological positions, per-cluster arc groups,
+// downstream potentials, ancestor-cluster masks) are built once, on the
+// first begin_delta — the paper pipeline never starts a delta session, so
+// its per-job cost stays at what its schedule walks need.
 //
 // Determinism guarantee: the trial kernel visits tasks in exactly the order
 // the legacy evaluate() did (topological order, ties by node id;
@@ -321,6 +329,9 @@ class EvalEngine {
 
   void ensure_workspace(EvalWorkspace& ws, bool link_contention) const;
   void ensure_routing() const;
+  /// Builds the DeltaEval-only tables below (thread-safe, once per engine).
+  /// Called at the top of every DeltaEval constructor.
+  void ensure_delta_tables() const;
   /// Pre-flattened link-index sequence of the fixed route pp -> pv.
   /// ensure_routing() must have completed. Shared by the scalar kernel,
   /// the SoA kernel and DeltaEval's claim replay so all three issue link
@@ -362,36 +373,40 @@ class EvalEngine {
                     std::span<Weight> totals, Weight cutoff) const;
 
   const MappingInstance& instance_;
-  std::vector<NodeId> topo_order_;
-  std::vector<std::uint32_t> topo_pos_;     // inverse of topo_order_
+  const std::vector<NodeId>& topo_order_;   // the instance's order
   std::vector<std::uint32_t> pred_offset_;  // CSR: arcs of task v are
   std::vector<PredArc> pred_arcs_;          // pred_arcs_[pred_offset_[v] .. [v+1])
-  std::vector<std::uint32_t> succ_offset_;  // CSR mirror of pred_offset_:
-  std::vector<SuccArc> succ_arcs_;          // successors of v, edge-insertion order
-  std::vector<std::uint32_t> cluster_arc_offset_;  // CSR over clusters:
-  std::vector<ClusterArc> cluster_arcs_;           // inter-cluster arcs of cluster c
+  std::vector<NodeId> cluster_of_;
+  std::vector<Weight> node_weight_;
+
+  // DeltaEval-only tables, built by ensure_delta_tables(). Immutable once
+  // delta_once_ has fired; nothing else reads them.
+  mutable std::once_flag delta_once_;
+  mutable std::vector<std::uint32_t> topo_pos_;     // inverse of topo_order_
+  mutable std::vector<std::uint32_t> succ_offset_;  // CSR mirror of pred_offset_:
+  mutable std::vector<SuccArc> succ_arcs_;          // successors of v, edge-insertion order
+  mutable std::vector<std::uint32_t> cluster_arc_offset_;  // CSR over clusters:
+  mutable std::vector<ClusterArc> cluster_arcs_;           // inter-cluster arcs of cluster c
   // Sub-CSR of cluster_arcs_: within cluster c the arcs are sorted by
   // (other_cluster, incoming), and group (c, oc, incoming) spans
   // [cluster_pair_offset_[g], cluster_pair_offset_[g + 1]) with
   // g = c * 2 * ns + oc * 2 + incoming. The v2 delta engine selects whole
   // groups off its distance-change masks instead of filtering arc by arc;
   // cluster_pair_min_pos_[g] is the earliest head position in the group.
-  std::vector<std::uint32_t> cluster_pair_offset_;
-  std::vector<std::uint32_t> cluster_pair_min_pos_;
-  std::vector<std::uint32_t> cluster_min_pos_;     // earliest member topo position
-  std::vector<NodeId> cluster_of_;
-  std::vector<Weight> node_weight_;
+  mutable std::vector<std::uint32_t> cluster_pair_offset_;
+  mutable std::vector<std::uint32_t> cluster_pair_min_pos_;
+  mutable std::vector<std::uint32_t> cluster_min_pos_;  // earliest member topo position
   // tail0_[v]: largest sum of node weights along any v -> sink path,
   // excluding v itself. Communication costs are nonnegative in every mode,
   // so end(v) + tail0_[v] lower-bounds the makespan of ANY schedule — the
   // v2 delta engine's verdict potential (a trial whose running end crosses
   // cutoff - tail0 is certified hopeless long before the cascade tail).
-  std::vector<Weight> tail0_;
+  mutable std::vector<Weight> tail0_;
   // reach_clusters_[v]: bitmask of the clusters of v and all its
   // ancestors (all-ones when > 64 clusters). In plain mode a task whose
   // mask excludes both moved clusters provably keeps its committed end —
   // the v2 verdict probe's untouched-makespan-holder certificate.
-  std::vector<std::uint64_t> reach_clusters_;
+  mutable std::vector<std::uint64_t> reach_clusters_;
 
   // Lazily built contention tables (plain evaluations never pay for them).
   // When shared_tables_ is set (adopt_topology) the pointers alias the

@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "cluster/abstract_graph.hpp"
 #include "cluster/clustering.hpp"
@@ -45,6 +46,12 @@ class MappingInstance {
   [[nodiscard]] const Clustering& clustering() const noexcept { return clustering_; }
   [[nodiscard]] const SystemGraph& system() const noexcept { return system_; }
   [[nodiscard]] const AbstractGraph& abstract() const noexcept { return abstract_; }
+
+  /// Topological order of the problem graph (Kahn's algorithm, ties by
+  /// node id — exactly topological_order(problem())). Computed once by the
+  /// acyclicity check at construction; the evaluation engine and the ideal
+  /// schedule walk it instead of sorting again.
+  [[nodiscard]] const std::vector<NodeId>& topo_order() const noexcept { return topo_order_; }
 
   /// Clustered-problem-graph edge matrix (paper's clus_edge). Dense
   /// np x np, built lazily on first call (thread-safe) — every hot path
@@ -109,6 +116,7 @@ class MappingInstance {
   Clustering clustering_;
   SystemGraph system_;
   AbstractGraph abstract_;
+  std::vector<NodeId> topo_order_;
   // Lazy clus_edge storage. The mutex lives behind a shared_ptr so the
   // instance stays copyable/movable; copies share the lock but carry their
   // own (possibly already-built) matrix.

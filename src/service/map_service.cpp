@@ -137,8 +137,11 @@ MapJobResult run_map_job(const MapJob& job, const std::shared_ptr<ThreadPool>& p
         std::chrono::duration<double, std::milli>(clock::now() - c0).count();
   }
 
+  const auto e0 = clock::now();
   const EvalEngine engine(*instance, pool);
   if (tables) engine.adopt_topology(tables);
+  result.stages.engine_ms =
+      std::chrono::duration<double, std::milli>(clock::now() - e0).count();
   result.topology_cache_hit = cache_hit;
   result.system_name = instance->system().name();
   result.np = instance->num_tasks();

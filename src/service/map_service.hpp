@@ -150,6 +150,7 @@ struct MapJobResult {
   struct StageTimings {
     double build_ms = 0.0;   ///< deferred-instance materialization
     double topo_ms = 0.0;    ///< topology-table acquire (cache hit or build)
+    double engine_ms = 0.0;  ///< EvalEngine construction (+ topology adoption)
     double map_ms = 0.0;     ///< map_instance: schedule + assign + refine
     double random_ms = 0.0;  ///< random-baseline replay
   };

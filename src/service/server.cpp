@@ -302,24 +302,31 @@ void MapServer::accept_main() {
       if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN) continue;
       break;
     }
-    if (draining_.load(std::memory_order_acquire)) {
+    auto conn = std::make_shared<Connection>();
+    conn->read_fd = fd;
+    conn->write_fd = fd;
+    conn->owns_fd = true;
+    bool registered = false;
+    {
+      // The drain check sits under mutex_, like drain_main's snapshot of
+      // connections_: a connection registered here is in that snapshot,
+      // and one that arrives later sees the flag.
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!draining_.load(std::memory_order_acquire)) {
+        conn->client_id = next_client_id_++;
+        connections_.push_back(conn);
+        ++stats_.connections_opened;
+        server_metrics().connections.inc();
+        threads_.emplace_back([this, conn] { connection_main(conn); });
+        registered = true;
+      }
+    }
+    if (!registered) {
       // Drain raced the accept: one answer, never served.
       const std::string frame = overloaded_frame("-", -1);
       (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       ::close(fd);
       break;
-    }
-    auto conn = std::make_shared<Connection>();
-    conn->read_fd = fd;
-    conn->write_fd = fd;
-    conn->owns_fd = true;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      conn->client_id = next_client_id_++;
-      connections_.push_back(conn);
-      ++stats_.connections_opened;
-      server_metrics().connections.inc();
-      threads_.emplace_back([this, conn] { connection_main(conn); });
     }
     log_line("client " + std::to_string(conn->client_id) + " connected");
   }
@@ -329,12 +336,25 @@ void MapServer::serve_fd(int read_fd, int write_fd) {
   auto conn = std::make_shared<Connection>();
   conn->read_fd = read_fd;
   conn->write_fd = write_fd;
+  bool late = false;
   {
+    // Registration and the drain check share mutex_ with drain_main's
+    // snapshot of connections_. A connection that arrives after drain has
+    // begun would miss that snapshot and never get its bye, so it gets
+    // the bye here and is not served.
     std::lock_guard<std::mutex> lock(mutex_);
-    conn->client_id = next_client_id_++;
-    connections_.push_back(conn);
-    ++stats_.connections_opened;
-    server_metrics().connections.inc();
+    late = draining_.load(std::memory_order_acquire);
+    if (!late) {
+      conn->client_id = next_client_id_++;
+      connections_.push_back(conn);
+      ++stats_.connections_opened;
+      server_metrics().connections.inc();
+    }
+  }
+  if (late) {
+    std::lock_guard<std::mutex> clock(conn->mutex);
+    (void)conn->write_frame_locked(bye_frame(0, 0));
+    return;
   }
   log_line("client " + std::to_string(conn->client_id) + " connected (fd pair)");
   connection_main(conn);
@@ -569,9 +589,11 @@ void MapServer::submit_request(const std::shared_ptr<Connection>& conn,
   // for its terminal frame — an accepted job can never slip past teardown.
   outstanding_.fetch_add(1);
   if (draining_.load()) {
-    outstanding_.fetch_sub(1);
     {
+      // Every outstanding_ decrement happens under mutex_, so drain_main's
+      // predicate wait cannot miss the wakeup that follows it.
       std::lock_guard<std::mutex> slock(mutex_);
+      outstanding_.fetch_sub(1);
       ++stats_.shed;
     }
     server_metrics().shed.inc();
@@ -621,13 +643,13 @@ void MapServer::submit_request(const std::shared_ptr<Connection>& conn,
       ++conn->terminals;
       {
         std::lock_guard<std::mutex> slock(mutex_);
+        outstanding_.fetch_sub(1);
         ++stats_.accepted;
         ++stats_.terminal_frames;
         ++stats_.cached_results;
       }
       server_metrics().accepted.inc();
       server_metrics().terminals.inc();
-      outstanding_.fetch_sub(1);
       (void)conn->write_frame_locked(accepted_frame(
           tag, ticket.jid, service_->stats().queue_depth, ticket.fingerprint));
       (void)conn->write_frame_locked(result_frame(frame));
@@ -647,11 +669,12 @@ void MapServer::submit_request(const std::shared_ptr<Connection>& conn,
                              deliver_result(self, tag_copy, ticket, result);
                            });
   } catch (const AdmissionRejectedError&) {
-    outstanding_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> slock(mutex_);
+      outstanding_.fetch_sub(1);
       ++stats_.shed;
     }
+    drain_cv_.notify_all();
     server_metrics().shed.inc();
     // Deterministic per-client jitter: synchronized clients shed in the
     // same overload event back off at spread-out times instead of
@@ -664,11 +687,12 @@ void MapServer::submit_request(const std::shared_ptr<Connection>& conn,
     // Submitter-contract violations (no instance/builder) can't happen —
     // make_job always sets build — but captured anyway: one error frame,
     // the connection lives.
-    outstanding_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> slock(mutex_);
+      outstanding_.fetch_sub(1);
       ++stats_.parse_errors;
     }
+    drain_cv_.notify_all();
     server_metrics().parse_errors.inc();
     conn->write_frame_locked(error_frame(tag, e.what()));
     return;
@@ -755,11 +779,11 @@ void MapServer::deliver_result(const std::shared_ptr<Connection>& conn,
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    outstanding_.fetch_sub(1);
     ++stats_.terminal_frames;
     if (ticket.replayed) ++stats_.replayed;
   }
   server_metrics().terminals.inc();
-  outstanding_.fetch_sub(1);
   drain_cv_.notify_all();
 }
 
@@ -1005,11 +1029,12 @@ void MapServer::replay_entry(const JournalEntry& entry) {
                                             &service_->topology_cache());
     deliver_result(recovery_conn_, tag, ticket, result);
   } catch (const std::exception& e) {
-    outstanding_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> lock(mutex_);
+      outstanding_.fetch_sub(1);
       --stats_.accepted;
     }
+    drain_cv_.notify_all();
     fail_inline(std::string("replay submit failed: ") + e.what());
   }
 }

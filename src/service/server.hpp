@@ -132,6 +132,8 @@ class MapServer {
   /// CALLING thread until the peer closes, a fatal read error, or drain.
   /// read_fd/write_fd may be the same fd (a socketpair end) or a pipe
   /// pair (0/1 for stdio). The fds are not closed (callers own them).
+  /// Called after drain has begun, it writes the bye frame and returns
+  /// without serving.
   void serve_fd(int read_fd, int write_fd);
 
   /// Initiates drain (idempotent; the first mode wins). Non-blocking: an

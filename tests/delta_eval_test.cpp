@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <latch>
+#include <numeric>
 #include <thread>
 
 #include "baseline/annealing.hpp"
@@ -124,6 +126,65 @@ TEST(DeltaEvalTest, RandomizedMoveSwapCommitRevertMatchesFullKernel) {
     }
   }
   EXPECT_GE(checked, 3000);
+}
+
+/// One fixed move/swap stream through a delta session on `engine`: each
+/// trial is scored against the committed total as its cutoff and kept iff
+/// strictly better. Returns, per trial, the verdict (1 = kept) followed by
+/// the committed total after it.
+std::vector<Weight> delta_stream(const EvalEngine& engine, const EvalOptions& mode) {
+  const NodeId ns = engine.instance().num_processors();
+  std::vector<NodeId> host(idx(ns));
+  std::iota(host.begin(), host.end(), NodeId{0});
+  DeltaEval delta = engine.begin_delta(host, mode);
+  Rng rng(29);
+  std::vector<Weight> out;
+  for (int t = 0; t < 300; ++t) {
+    const auto c1 = static_cast<NodeId>(rng.uniform(0, ns - 1));
+    const auto c2 = static_cast<NodeId>(rng.uniform(0, ns - 1));
+    const Weight cutoff = delta.committed_total();
+    const Weight total = rng.uniform(0, 1) == 0 ? delta.try_move(c1, c2, cutoff)
+                                                : delta.try_swap(c1, c2, cutoff);
+    const bool keep = total < cutoff;
+    if (keep) {
+      delta.commit();
+    } else {
+      delta.revert();
+    }
+    out.push_back(keep ? 1 : 0);
+    out.push_back(delta.committed_total());
+  }
+  return out;
+}
+
+TEST(DeltaEvalTest, ConcurrentFirstBeginDeltaBuildsTablesOnce) {
+  // The delta-only engine tables are built on the first begin_delta. N
+  // threads racing that first call on one fresh engine must each see the
+  // complete tables: identical verdicts and committed totals, equal to a
+  // session on a separate engine that built them without contention.
+  LayeredDagParams p;
+  p.num_tasks = 150;
+  const TaskGraph g = make_layered_dag(p, 17);
+  const SystemGraph sys = make_hypercube(3);
+  const MappingInstance inst(g, random_clustering(g, sys.node_count(), 5), sys);
+  constexpr int kThreads = 6;
+  for (const EvalOptions& mode : all_modes()) {
+    const std::vector<Weight> expected = delta_stream(EvalEngine(inst), mode);
+    const EvalEngine engine(inst);
+    std::vector<std::vector<Weight>> got(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        start.arrive_and_wait();
+        got[idx(i)] = delta_stream(engine, mode);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int i = 0; i < kThreads; ++i) {
+      EXPECT_EQ(got[idx(i)], expected) << "thread " << i << mode_name(mode);
+    }
+  }
 }
 
 TEST(DeltaEvalTest, FallbackThresholdCrossingIsBitIdentical) {

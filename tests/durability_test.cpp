@@ -346,5 +346,26 @@ TEST(DurabilityTest, UnparsableJournaledRequestClosesWithInternalError) {
   EXPECT_TRUE(results[0].replayed);
 }
 
+TEST(DurabilityTest, ServeFdAfterDrainSaysByeAndReturns) {
+  // A connection that registers after drain has taken its snapshot of the
+  // live connections must still be told goodbye and released; serving it
+  // would leave its reader polling forever.
+  MapServer server{ServerOptions{}};
+  server.request_drain(DrainMode::kCancel);
+  server.wait();
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  server.serve_fd(sv[0], sv[0]);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  TestClient client(sv[1]);
+  const auto bye = client.expect_event("bye");
+  EXPECT_EQ(bye.at("accepted"), "0");
+  EXPECT_EQ(bye.at("results"), "0");
+  EXPECT_EQ(server.stats().connections_opened, 0u);
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
 }  // namespace
 }  // namespace mimdmap::serve

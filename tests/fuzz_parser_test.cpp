@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -26,10 +27,10 @@ namespace mimdmap {
 namespace {
 
 /// Applies `count` random single-character mutations (replace, delete,
-/// insert) to `text`.
-std::string mutate(const std::string& text, Rng& rng, int count) {
+/// insert) to `text`, drawing new characters from `alphabet`.
+std::string mutate(const std::string& text, Rng& rng, int count,
+                   const std::string& alphabet = "0123456789 \n\t-abcxyz#") {
   std::string out = text;
-  const std::string alphabet = "0123456789 \n\t-abcxyz#";
   for (int i = 0; i < count && !out.empty(); ++i) {
     const auto pos = static_cast<std::size_t>(
         rng.uniform(0, static_cast<std::int64_t>(out.size()) - 1));
@@ -71,6 +72,203 @@ TEST(FuzzParserTest, TaskGraphParserNeverCrashes) {
   }
   // Light mutations leave many inputs valid; make sure both paths ran.
   EXPECT_GT(parsed, 0);
+}
+
+/// The graph parsers as they were written on one std::istringstream per
+/// line — the reference the stream-free parsers must agree with on every
+/// input: accept/reject, error message and parsed graph.
+namespace stream_reference {
+
+[[noreturn]] void fail(std::size_t line, const std::string& what) {
+  throw std::invalid_argument("graph_io: line " + std::to_string(line) + ": " + what);
+}
+
+bool next_line(std::istream& is, std::string& out, std::size_t& line_no) {
+  while (std::getline(is, out)) {
+    ++line_no;
+    const auto first = out.find_first_not_of(" \t\r");
+    if (first == std::string::npos) continue;
+    if (out[first] == '#') continue;
+    return true;
+  }
+  return false;
+}
+
+TaskGraph read_task_graph(const std::string& text) {
+  std::istringstream is(text);
+  std::string line;
+  std::size_t line_no = 0;
+  if (!next_line(is, line, line_no)) fail(line_no, "empty input");
+  std::istringstream header(line);
+  std::string tag;
+  NodeId n = 0;
+  if (!(header >> tag >> n) || tag != "taskgraph" || n < 0) {
+    fail(line_no, "expected 'taskgraph <np>'");
+  }
+  TaskGraph g(n);
+  NodeId nodes_seen = 0;
+  while (nodes_seen < n) {
+    if (!next_line(is, line, line_no)) fail(line_no, "unexpected EOF in node list");
+    std::istringstream ls(line);
+    NodeId id = 0;
+    Weight w = 0;
+    if (!(ls >> tag >> id >> w) || tag != "node") fail(line_no, "expected 'node <id> <weight>'");
+    if (id != nodes_seen) fail(line_no, "node ids must be consecutive from 0");
+    g.set_node_weight(id, w);
+    ++nodes_seen;
+  }
+  while (next_line(is, line, line_no)) {
+    std::istringstream ls(line);
+    NodeId from = 0;
+    NodeId to = 0;
+    Weight w = 0;
+    if (!(ls >> tag >> from >> to >> w) || tag != "edge") {
+      fail(line_no, "expected 'edge <from> <to> <weight>'");
+    }
+    g.add_edge(from, to, w);
+  }
+  g.validate();
+  return g;
+}
+
+SystemGraph read_system_graph(const std::string& text) {
+  std::istringstream is(text);
+  std::string line;
+  std::size_t line_no = 0;
+  if (!next_line(is, line, line_no)) fail(line_no, "empty input");
+  std::istringstream header(line);
+  std::string tag;
+  std::string name;
+  NodeId n = 0;
+  if (!(header >> tag >> n) || tag != "systemgraph" || n < 0) {
+    fail(line_no, "expected 'systemgraph <ns> [name]'");
+  }
+  if (!(header >> name)) name = "custom";
+  SystemGraph g(n, name);
+  while (next_line(is, line, line_no)) {
+    std::istringstream ls(line);
+    NodeId a = 0;
+    NodeId b = 0;
+    Weight w = 0;
+    if (!(ls >> tag >> a >> b >> w) || tag != "link") {
+      fail(line_no, "expected 'link <a> <b> <weight>'");
+    }
+    g.add_link(a, b, w);
+  }
+  return g;
+}
+
+}  // namespace stream_reference
+
+/// What one parse did: the graph's text form, or the exception's kind and
+/// message.
+template <typename Parse>
+std::string parse_outcome(Parse&& parse) {
+  try {
+    return "ok:" + to_text(parse());
+  } catch (const std::invalid_argument& e) {
+    return std::string("invalid_argument:") + e.what();
+  } catch (const std::out_of_range& e) {
+    return std::string("out_of_range:") + e.what();
+  }
+}
+
+/// True iff no run of digits in `text` is longer than `max_digits` — keeps
+/// mutated headers from asking for graphs with millions of nodes.
+bool short_numbers(const std::string& text, std::size_t max_digits) {
+  std::size_t run = 0;
+  for (const char c : text) {
+    run = (c >= '0' && c <= '9') ? run + 1 : 0;
+    if (run > max_digits) return false;
+  }
+  return true;
+}
+
+TEST(FuzzParserTest, GraphParsersAgreeWithStreamReference) {
+  const std::vector<std::string> task_cases = {
+      "taskgraph 2\nnode 0 1\nnode 1 2\nedge 0 1 3\n",
+      "taskgraph +2\nnode +0 +1\nnode 1 2\nedge +0 +1 +3\n",
+      "taskgraph 2 trailing words\nnode 0 1 x\nnode 1 2\nedge 0 1 3junk\n",
+      "taskgraph 2\nnode 0 1\nnode 1 2\nedge 0 1x 3\n",
+      "taskgraph 2\nnode 0 1\nnode 1 2\nedge 0 +-1 3\n",
+      "taskgraph 2\nnode 0 1\nnode 1 2\nedge 0 -+1 3\n",
+      "taskgraph 2\nnode 0 1\nnode 1 2\nedge 0 + 1 3\n",
+      "taskgraph 1\nnode -0 5\n",
+      "taskgraph 1\nnode 0 99999999999999999999\n",
+      "taskgraph 1\nnode 0 9223372036854775807\n",
+      "taskgraph 2\nnode 0 1\nnode 1 1\nedge 2147483648 1 1\n",
+      "taskgraph 2147483648\n",
+      "taskgraph -1\n",
+      "taskgraph5\n",
+      "\v\n",
+      "  # comment\n\r\n\ttaskgraph\v1\f\nnode\t0\v7\r\n",
+      "\vtaskgraph 1\nnode 0 1\n",
+      "taskgraph 1\nnode 0 1\n\v# not a comment\n",
+      "taskgraph 0x1\n",
+      "taskgraph 1\nnode 0 0x10\n",
+      "taskgraph 1\nnode 0 1e3\n",
+      "taskgraph 1\nnode 0 1.5\n",
+      "taskgraph 2\nnode 0 1\n",
+      "taskgraph 2\nnode 1 1\nnode 0 1\n",
+      "taskgraph 2\nnode 0 1\nnode 1 1\nedge 0 1 -4\n",
+      "taskgraph 2\nnode 0 1\nnode 1 1\nedge 0 1 1\nedge 1 0 1\n",
+      "taskgraph 1\nnode 0 1\nedge 0 5 1\n",
+      "",
+      "# only a comment\n",
+  };
+  for (const std::string& input : task_cases) {
+    EXPECT_EQ(parse_outcome([&] { return task_graph_from_text(input); }),
+              parse_outcome([&] { return stream_reference::read_task_graph(input); }))
+        << "input: " << input;
+  }
+  const std::vector<std::string> system_cases = {
+      "systemgraph 2 pair\nlink 0 1 1\n",
+      "systemgraph 2\nlink 0 1 1\n",
+      "systemgraph 2pair\nlink +0 +1 +1 extra\n",
+      "systemgraph 2 pair extra\nlink 0 1 1x\n",
+      "systemgraph 2\nlink 0 1x 1\n",
+      "systemgraph 2\nlink 0 1 0\n",
+      "systemgraph 2\nlink 0 0 1\n",
+      "systemgraph 2\nlink 0 7 1\n",
+      "systemgraph +2 p\n",
+      "systemgraph -2 p\n",
+      "systemgraph 99999999999 p\n",
+      "systemgraph\v2\fp\r\n",
+      "link 0 1 1\n",
+  };
+  for (const std::string& input : system_cases) {
+    EXPECT_EQ(parse_outcome([&] { return system_graph_from_text(input); }),
+              parse_outcome([&] { return stream_reference::read_system_graph(input); }))
+        << "input: " << input;
+  }
+
+  LayeredDagParams p;
+  p.num_tasks = 25;
+  const std::string valid_task = to_text(make_layered_dag(p, 3));
+  const std::string valid_system = to_text(make_random_connected(12, 0.3, 7));
+  Rng rng(505);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 1500; ++i) {
+    const bool task = i % 2 == 0;
+    // The alphabet adds the stream's corner cases: signs, every whitespace
+    // character it skips, and exponent-like letters.
+    const std::string input = mutate(task ? valid_task : valid_system, rng,
+                                     static_cast<int>(rng.uniform(1, 8)),
+                                     "0123456789 \n\t\v\f\r+-abcexyz#.");
+    if (!short_numbers(input, 4)) continue;
+    const std::string got =
+        task ? parse_outcome([&] { return task_graph_from_text(input); })
+             : parse_outcome([&] { return system_graph_from_text(input); });
+    const std::string want =
+        task ? parse_outcome([&] { return stream_reference::read_task_graph(input); })
+             : parse_outcome([&] { return stream_reference::read_system_graph(input); });
+    EXPECT_EQ(got, want) << "input: " << input;
+    (got.rfind("ok:", 0) == 0 ? accepted : rejected)++;
+  }
+  // Both paths must have been exercised by the mutated inputs.
+  EXPECT_GT(accepted, 50);
+  EXPECT_GT(rejected, 50);
 }
 
 TEST(FuzzParserTest, SystemGraphParserNeverCrashes) {

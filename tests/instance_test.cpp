@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "core/evaluation.hpp"
+#include "cluster/strategies.hpp"
 #include "core/ideal_graph.hpp"
+#include "graph/topological.hpp"
 #include "topology/topology.hpp"
+#include "workload/random_dag.hpp"
 
 namespace mimdmap {
 namespace {
@@ -30,6 +33,29 @@ TEST(InstanceTest, RejectsCyclicProblem) {
   g.add_edge(1, 0, 1);
   EXPECT_THROW(MappingInstance(g, Clustering({0, 1}, 2), make_chain(2)),
                std::invalid_argument);
+}
+
+TEST(InstanceTest, TopoOrderIsTheGraphsTopologicalOrder) {
+  LayeredDagParams p;
+  p.num_tasks = 60;
+  const TaskGraph g = make_layered_dag(p, 4);
+  const MappingInstance inst(g, random_clustering(g, 4, 2), make_mesh(2, 2));
+  const auto order = topological_order(inst.problem());
+  ASSERT_TRUE(order.has_value());
+  EXPECT_EQ(inst.topo_order(), *order);
+}
+
+TEST(InstanceTest, CyclicProblemKeepsTheValidateMessage) {
+  TaskGraph g(3);
+  g.add_edge(0, 1, 1);
+  g.add_edge(1, 2, 1);
+  g.add_edge(2, 1, 1);
+  try {
+    const MappingInstance inst(g, Clustering({0, 1, 1}, 2), make_chain(2));
+    FAIL() << "cyclic problem accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "TaskGraph: cycle detected");
+  }
 }
 
 TEST(InstanceTest, RejectsDisconnectedSystem) {

@@ -254,9 +254,13 @@ TEST(MapServiceTest, SubmitDeliversFutureWithDiagnostics) {
   // Per-stage timings are stamped on every job: each stage is bounded by
   // the job wall and the mapper stage actually did work.
   EXPECT_GE(result.stages.topo_ms, 0.0);
+  EXPECT_GT(result.stages.engine_ms, 0.0);
   EXPECT_GT(result.stages.map_ms, 0.0);
   EXPECT_GT(result.stages.random_ms, 0.0);
   EXPECT_LE(result.stages.map_ms, result.wall_ms);
+  // The stages are disjoint intervals inside the job wall.
+  const MapJobResult::StageTimings& st = result.stages;
+  EXPECT_LE(st.build_ms + st.topo_ms + st.engine_ms + st.map_ms + st.random_ms, result.wall_ms);
 }
 
 TEST(MapServiceTest, SeedFieldOverridesRefineSeed) {
